@@ -73,6 +73,23 @@ func BenchmarkEnvTimerStop(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkProcSwitch measures one process round trip: Ready schedules
+// the wake-up, Park hands control back to the event loop, and dispatch
+// switches into the process again.
+func BenchmarkProcSwitch(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.NewEnv()
+	defer e.Close()
+	e.Spawn("switch", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			e.Ready(p, nil)
+			p.Park()
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}
+
 // BenchmarkCPUSubmit measures one SubmitCall completion round trip
 // through the CPU scheduler.
 func BenchmarkCPUSubmit(b *testing.B) {
@@ -159,6 +176,29 @@ func TestScheduleCallZeroAllocs(t *testing.T) {
 		e.Run()
 	}); avg != 0 {
 		t.Errorf("ScheduleCall+dispatch allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestProcSwitchZeroAllocs pins the process handoff: once the wake-record
+// pool is warm, a Ready -> dispatch -> park round trip allocates nothing.
+func TestProcSwitchZeroAllocs(t *testing.T) {
+	e := sim.NewEnv()
+	defer e.Close()
+	p := e.Spawn("switch", func(p *sim.Proc) {
+		for {
+			p.Park()
+		}
+	})
+	e.Run()
+	round := func() {
+		e.Ready(p, nil)
+		e.Run()
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("process switch round trip allocates %.1f objects/op, want 0", avg)
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package sim provides a small, deterministic discrete-event simulation
 // kernel used as the substrate for the COMB reproduction.
 //
-// The kernel models virtual time in nanoseconds ([Time]), a stable binary
-// heap of scheduled callbacks ([Env.Schedule]), cooperatively scheduled
-// processes backed by goroutines ([Env.Spawn], [Proc]) and one-shot
-// condition events ([Event]).
+// The kernel models virtual time in nanoseconds ([Time]), a stable 4-ary
+// heap of scheduled callbacks plus a FIFO ring for zero-delay ones
+// ([Env.Schedule]), cooperatively scheduled processes running as iter.Pull
+// coroutines ([Env.Spawn], [Proc]) and one-shot condition events
+// ([Event]).
 //
-// Determinism: exactly one goroutine is runnable at any instant.  The event
-// loop hands control to a process and blocks until that process either
-// parks (sleeps or awaits an event) or terminates.  Ties between events
-// scheduled for the same timestamp are broken by scheduling order, so a
-// simulation run is a pure function of its inputs.
+// Determinism: the event loop is the only thread of control.  Resuming a
+// process is a coroutine switch into it, and the loop continues only when
+// that process parks (sleeps or awaits an event) or terminates.  Ties
+// between events scheduled for the same timestamp are broken by
+// scheduling order, so a simulation run is a pure function of its inputs.
 package sim

@@ -35,7 +35,10 @@ type Env struct {
 	procs   []*Proc
 	cur     *Proc
 	steps   uint64
-	stopped bool
+	// switches counts process resumptions: one per dispatch that hands
+	// control to a live process.
+	switches uint64
+	stopped  bool
 
 	// partStamp, when non-zero, switches event stamping from the serial
 	// (global sequence) scheme to the partition scheme of the parallel
@@ -179,6 +182,12 @@ func (e *Env) Now() Time { return e.now }
 
 // Steps reports how many events have executed so far.
 func (e *Env) Steps() uint64 { return e.steps }
+
+// Switches reports how many times the event loop has resumed a process:
+// a process that sleeps N times before returning costs N+1 switches (its
+// first activation plus one per wake-up).  Killing parked processes in
+// Close does not count.
+func (e *Env) Switches() uint64 { return e.switches }
 
 // Cur returns the process currently being executed, or nil when the event
 // loop itself is running a plain callback.
@@ -502,7 +511,7 @@ func (e *Env) run(deadline Time) {
 	}
 }
 
-// Close terminates every parked process so their goroutines exit, then
+// Close terminates every parked process so their coroutines exit, then
 // clears the pending event queue so queued callbacks (and everything
 // they capture — packets, buffers, procs) are released immediately
 // rather than retained by a dead environment.  The environment must not
@@ -510,7 +519,13 @@ func (e *Env) run(deadline Time) {
 func (e *Env) Close() {
 	for _, p := range e.procs {
 		if !p.done {
-			e.dispatch(p, killSignal{})
+			// A parked process unwinds through killSignal and its body's
+			// deferred exit.  Stopping a coroutine that never ran skips
+			// its body, so such a process is finished here.
+			p.stop()
+			if !p.done {
+				p.exit()
+			}
 		}
 	}
 	e.procs = nil

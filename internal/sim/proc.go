@@ -1,61 +1,71 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: user code running on its own goroutine that
-// the event loop resumes and parks cooperatively.  At most one process (or
-// event callback) executes at any moment, which keeps simulations
-// deterministic without locks.
+// Proc is a simulated process: user code running as an iter.Pull
+// coroutine that the event loop resumes and parks cooperatively.  A
+// coroutine switch hands control directly from the resumer to the process
+// and back, so the event loop is the only thread of control: at most one
+// process (or event callback) executes at any moment, which keeps
+// simulations deterministic without locks.
 type Proc struct {
 	env    *Env
 	name   string
-	resume chan any      // event loop -> process: wake-up value
-	parked chan struct{} // process -> event loop: I parked or finished
+	fn     func(p *Proc)           // process body; dropped once it returns
+	next   func() (struct{}, bool) // resume the coroutine until it parks or ends
+	stop   func()                  // unwind a parked (or unstarted) coroutine
+	yield  func(struct{}) bool     // bound on first resume; park switches through it
+	wake   any                     // wake-up value handed over by dispatch
 	done   bool
 	doneEv *Event // lazily created; fires when the process finishes
 	panicv any
 	haspan bool
 }
 
-// killSignal is delivered to parked processes by Env.Close so their
-// goroutines unwind and exit.
+// killSignal unwinds a parked process when Env.Close stops its
+// coroutine: park raises it when yield reports the coroutine stopped.
 type killSignal struct{}
 
 // Spawn creates a process named name running fn and schedules its first
 // activation at the current virtual time.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		env:    e,
-		name:   name,
-		resume: make(chan any),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{env: e, name: name, fn: fn}
+	p.next, p.stop = iter.Pull(p.body)
 	e.procs = append(e.procs, p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, killed := r.(killSignal); !killed {
-					p.panicv = r
-					p.haspan = true
-				}
-			}
-			p.done = true
-			if p.doneEv != nil && !p.doneEv.Fired() {
-				p.doneEv.Fire(p)
-			}
-			p.parked <- struct{}{}
-		}()
-		first := <-p.resume
-		if _, killed := first.(killSignal); killed {
-			panic(killSignal{})
-		}
-		fn(p)
-	}()
 	e.ready(0, p, nil)
 	return p
 }
 
-// dispatch resumes p with val and blocks until p parks again or finishes.
+// body is the coroutine: it binds yield once, runs the process function,
+// and records how it ended.  A panic other than killSignal is kept for
+// dispatch to re-raise on the event loop with the process name attached.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, killed := r.(killSignal); !killed {
+				p.panicv = r
+				p.haspan = true
+			}
+		}
+		p.exit()
+	}()
+	p.fn(p)
+}
+
+// exit marks p finished, releases its body, and fires its DoneEvent.
+func (p *Proc) exit() {
+	p.done = true
+	p.fn = nil
+	if p.doneEv != nil && !p.doneEv.Fired() {
+		p.doneEv.Fire(p)
+	}
+}
+
+// dispatch resumes p with val and returns once p parks again or finishes.
 // It must only be called from event-loop context (an event callback), never
 // from inside another process.
 func (e *Env) dispatch(p *Proc, val any) {
@@ -64,8 +74,9 @@ func (e *Env) dispatch(p *Proc, val any) {
 	}
 	prev := e.cur
 	e.cur = p
-	p.resume <- val
-	<-p.parked
+	p.wake = val
+	e.switches++
+	p.next()
 	e.cur = prev
 	if p.haspan {
 		v := p.panicv
@@ -77,11 +88,11 @@ func (e *Env) dispatch(p *Proc, val any) {
 // park suspends the calling process until something dispatches it again,
 // returning the wake-up value.
 func (p *Proc) park() any {
-	p.parked <- struct{}{}
-	v := <-p.resume
-	if _, killed := v.(killSignal); killed {
+	if !p.yield(struct{}{}) {
 		panic(killSignal{})
 	}
+	v := p.wake
+	p.wake = nil
 	return v
 }
 

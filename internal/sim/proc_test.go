@@ -272,3 +272,123 @@ func TestDoneEventMultipleJoiners(t *testing.T) {
 		t.Fatalf("joined = %d, want 3", joined)
 	}
 }
+
+func TestCloseUnstartedProc(t *testing.T) {
+	e := NewEnv()
+	ran := false
+	p := e.Spawn("never", func(p *Proc) { ran = true })
+	done := p.DoneEvent()
+	e.Close() // before Run: the first activation never dispatched
+	if ran {
+		t.Fatal("Close ran the body of an unstarted process")
+	}
+	if !p.Done() {
+		t.Fatal("Close left an unstarted process not Done")
+	}
+	if !done.Fired() {
+		t.Fatal("Close did not fire an unstarted process's DoneEvent")
+	}
+}
+
+func TestCloseRunsParkedDefers(t *testing.T) {
+	e := NewEnv()
+	ev := e.NewEvent() // never fires
+	unwound := false
+	p := e.Spawn("stuck", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Await(ev)
+		t.Error("Await returned after Close")
+	})
+	done := p.DoneEvent()
+	e.Run()
+	e.Close()
+	if !unwound || !p.Done() || !done.Fired() {
+		t.Fatalf("after Close: unwound=%v done=%v fired=%v, want all true", unwound, p.Done(), done.Fired())
+	}
+}
+
+// TestProcResumeAcrossGoroutines is the window engine's situation:
+// processes are spawned on one goroutine and resumed by event loops
+// running on others, handed over through channels.  Under -race it
+// checks the coroutine switch publishes process state to each resumer.
+func TestProcResumeAcrossGoroutines(t *testing.T) {
+	e := NewEnv()
+	var log []Time
+	for i := 0; i < 3; i++ {
+		d := Time(i + 1)
+		e.Spawn("p", func(p *Proc) {
+			for j := 0; j < 4; j++ {
+				p.Sleep(d)
+				log = append(log, p.Now())
+			}
+		})
+	}
+	handoff := make(chan Time)
+	finished := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		go func() {
+			defer func() { finished <- struct{}{} }()
+			if bound, ok := <-handoff; ok {
+				e.RunUntil(bound)
+			} else {
+				e.Run()
+			}
+		}()
+	}
+	handoff <- 5
+	<-finished
+	close(handoff)
+	<-finished
+	e.Close()
+	if len(log) != 12 || e.Now() != 12 {
+		t.Fatalf("got %d wakes ending at t=%v, want 12 ending at t=12", len(log), e.Now())
+	}
+	for i := 1; i < len(log); i++ {
+		if log[i] < log[i-1] {
+			t.Fatalf("wake times went backwards: %v", log)
+		}
+	}
+}
+
+func TestProcPanicAfterSwitchesNamesProcess(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	e.Spawn("bystander", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	e.Spawn("worker-7", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			p.Sleep(2)
+		}
+		panic("boom")
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"worker-7"`) || !strings.Contains(msg, "boom") {
+			t.Fatalf("panic = %q, want it to name worker-7 and carry boom", msg)
+		}
+	}()
+	e.Run()
+}
+
+func TestProcSwitchCount(t *testing.T) {
+	const n = 7
+	e := NewEnv()
+	e.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(3)
+		}
+	})
+	ev := e.NewEvent() // never fires: its waiter is killed by Close
+	e.Spawn("stuck", func(p *Proc) { p.Await(ev) })
+	e.Run()
+	if got, want := e.Switches(), uint64(n+1+1); got != want {
+		t.Fatalf("Switches = %d, want %d (sleeper %d+1, stuck 1)", got, want, n)
+	}
+	e.Close()
+	if got := e.Switches(); got != n+2 {
+		t.Fatalf("Close changed Switches to %d; kills are not switches", got)
+	}
+}
