@@ -137,8 +137,19 @@ func (c *CPU) Cores() int { return len(c.cores) }
 // Use consumes d of CPU time at priority prio on behalf of the calling
 // process, blocking it until the demand is fully served.  A non-positive
 // demand returns immediately.
+//
+// An uncontended demand is served inline: when a core is idle (so every
+// run queue is empty) and nothing else can run before the demand would
+// finish, p.TryAdvance moves the clock past it without a grant, a timer
+// or a park.  The completion timer and the wake-up it replaces would run
+// back to back at the same instant, so timelines and accounting are those
+// of the full path.
 func (c *CPU) Use(p *sim.Proc, d sim.Time, prio Priority) {
 	if d <= 0 {
+		return
+	}
+	if c.idleCore() && p.TryAdvance(d) {
+		c.usage[prio] += d
 		return
 	}
 	g := c.grant(d, prio)
@@ -327,6 +338,16 @@ func (c *CPU) TotalBusy() sim.Time {
 		t += u
 	}
 	return t
+}
+
+// idleCore reports whether some core is serving nothing.
+func (c *CPU) idleCore() bool {
+	for i := range c.cores {
+		if c.cores[i].running == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Busy reports whether any core is serving a grant right now.

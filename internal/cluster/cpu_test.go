@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -218,4 +219,75 @@ func TestWorkDilationMeasuresAvailability(t *testing.T) {
 	if avail < 0.45 || avail > 0.55 {
 		t.Fatalf("availability = %.3f, want ~0.5 (elapsed %v for demand %v)", avail, elapsed, demand)
 	}
+}
+
+// TestCPUUseInlineTie pins the strict tie rule of the inline fast path:
+// an interrupt queued for exactly the instant a user demand would end was
+// scheduled first, so it runs first, preempts the (fully served) grant
+// and delays its completion by its own length.  Inlining on a tie would
+// return at 10µs instead.
+func TestCPUUseInlineTie(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	cpu := NewCPU(env, "cpu")
+	env.Schedule(10*sim.Microsecond, func() { cpu.Submit(3*sim.Microsecond, Interrupt) })
+	var done sim.Time
+	env.Spawn("app", func(p *sim.Proc) {
+		cpu.Use(p, 10*sim.Microsecond, User)
+		done = p.Now()
+	})
+	env.Run()
+	if done != 13*sim.Microsecond {
+		t.Fatalf("Use returned at %v, want 13µs (interrupt at the tie runs first)", done)
+	}
+	if cpu.Usage(User) != 10*sim.Microsecond || cpu.Usage(Interrupt) != 3*sim.Microsecond {
+		t.Fatalf("usage user=%v intr=%v, want 10µs and 3µs", cpu.Usage(User), cpu.Usage(Interrupt))
+	}
+}
+
+// TestCPUUseInlineAccounting: uncontended demands are served in place —
+// no event, no switch — and still account their CPU time.
+func TestCPUUseInlineAccounting(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	cpu := NewSMP(env, "cpu", 2)
+	var done sim.Time
+	env.Spawn("app", func(p *sim.Proc) {
+		cpu.Use(p, 40, User)
+		cpu.Use(p, 2, Kernel)
+		done = p.Now()
+	})
+	env.Run()
+	if done != 42 || cpu.Usage(User) != 40 || cpu.Usage(Kernel) != 2 {
+		t.Fatalf("done=%v user=%v kernel=%v, want 42, 40, 2", done, cpu.Usage(User), cpu.Usage(Kernel))
+	}
+	if env.Inlined() != 2 || env.Steps() != 1 || cpu.Busy() {
+		t.Fatalf("Inlined=%d Steps=%d Busy=%v, want 2 inlined demands after one activation on an idle CPU",
+			env.Inlined(), env.Steps(), cpu.Busy())
+	}
+}
+
+// TestInlinedUseLivelockPanics: a process spinning on CPU.Use is served
+// inline, yet the MaxSteps safety valve still fires, because inlined
+// advances spend the same budget as executed events.
+func TestInlinedUseLivelockPanics(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	env.MaxSteps = 1000
+	cpu := NewCPU(env, "cpu")
+	env.Spawn("spin", func(p *sim.Proc) {
+		for {
+			cpu.Use(p, 1, User)
+		}
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "exceeded MaxSteps") {
+			t.Fatalf("panic = %q, want the MaxSteps livelock panic", msg)
+		}
+		if env.Inlined() == 0 {
+			t.Fatal("the spinning Use never took the inline path")
+		}
+	}()
+	env.Run()
 }

@@ -1,7 +1,7 @@
 // Package perf holds the simulator's microbenchmark suite: tight-loop
 // benchmarks for the event core (Env.Schedule and dispatch), the process
-// switch (Ready, dispatch, Park), the CPU scheduler (SubmitCall) and the
-// fabric (Send, SendMessage), each
+// switch (Ready, dispatch, Park), the CPU scheduler (SubmitCall and the
+// inline, uncontended Use) and the fabric (Send, SendMessage), each
 // reporting ns/op and allocs/op, plus AllocsPerRun regression tests
 // pinning the zero-allocation guarantees of the fault-free hot path.
 //

@@ -90,6 +90,26 @@ func BenchmarkProcSwitch(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkCPUUseInline measures one uncontended CPU.Use: an idle core
+// and an empty event queue let TryAdvance move the clock in place, with
+// no grant, timer, event or process switch.
+func BenchmarkCPUUseInline(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.NewEnv()
+	defer e.Close()
+	cpu := cluster.NewSMP(e, "bench", 1)
+	e.Spawn("work", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			cpu.Use(p, 100, cluster.User)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+	if b.N > 1 && e.Inlined() == 0 {
+		b.Fatal("CPU.Use never took the inline path")
+	}
+}
+
 // BenchmarkCPUSubmit measures one SubmitCall completion round trip
 // through the CPU scheduler.
 func BenchmarkCPUSubmit(b *testing.B) {
@@ -200,6 +220,24 @@ func TestProcSwitchZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Errorf("process switch round trip allocates %.1f objects/op, want 0", avg)
 	}
+}
+
+// TestCPUUseInlineZeroAllocs pins the uncontended CPU demand: a Use that
+// TryAdvance serves in place allocates nothing and executes no event.
+func TestCPUUseInlineZeroAllocs(t *testing.T) {
+	e := sim.NewEnv()
+	defer e.Close()
+	cpu := cluster.NewSMP(e, "inline", 1)
+	e.Spawn("work", func(p *sim.Proc) {
+		steps := e.Steps()
+		if avg := testing.AllocsPerRun(200, func() { cpu.Use(p, 100, cluster.User) }); avg != 0 {
+			t.Errorf("inline CPU.Use allocates %.1f objects/op, want 0", avg)
+		}
+		if e.Inlined() < 200 || e.Steps() != steps {
+			t.Errorf("Inlined=%d Steps %d -> %d: want every Use inlined and no event executed", e.Inlined(), steps, e.Steps())
+		}
+	})
+	e.Run()
 }
 
 // TestFabricSendZeroAllocs pins the injector-free fabric guarantee: a

@@ -218,14 +218,11 @@ func (r *request) matches(msg *message) bool {
 	return r.src == msg.src && r.tag == msg.tag
 }
 
-// drainLocked moves staged messages to posted receives or the unexpected
-// queue.  Caller holds m.mu.
+// drainLocked matches waiting messages to posted receives in arrival
+// order: the unexpected queue first, since it holds older messages than
+// anything staged, then the staged messages, which move to the unexpected
+// queue when nothing matches them.  Caller holds m.mu.
 func (m *Machine) drainLocked() {
-	for _, msg := range m.staging {
-		m.deliverLocked(msg)
-	}
-	m.staging = m.staging[:0]
-	// Also match unexpected messages against newly posted receives.
 	keep := m.unexpected[:0]
 	for _, msg := range m.unexpected {
 		if !m.matchPostedLocked(msg) {
@@ -233,6 +230,10 @@ func (m *Machine) drainLocked() {
 		}
 	}
 	m.unexpected = keep
+	for _, msg := range m.staging {
+		m.deliverLocked(msg)
+	}
+	m.staging = m.staging[:0]
 }
 
 func (m *Machine) deliverLocked(msg *message) {
@@ -255,20 +256,23 @@ func (m *Machine) matchPostedLocked(msg *message) bool {
 	return false
 }
 
-// progressLoop is the offload-mode progress engine for one rank.
+// progressLoop is the offload-mode progress engine for one rank.  It
+// checks stop while holding m.mu: World.Run closes stop before its
+// locked Broadcast, so a loop that saw stop open is already waiting when
+// that Broadcast comes, and the wake-up cannot be lost.
 func (m *Machine) progressLoop(stop <-chan struct{}) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		m.mu.Lock()
 		m.drainLocked()
 		if len(m.staging) == 0 {
 			m.cond.Wait()
 		}
-		m.mu.Unlock()
 	}
 }
 

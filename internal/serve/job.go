@@ -103,23 +103,34 @@ func (j *Job) setRunning() {
 	})
 }
 
-func (j *Job) finishOK(source string, res *runner.Result, mf *obs.Manifest, stats *runpipe.RunStats) {
+func (j *Job) finishOK(source string, res *runner.Result, mf *obs.Manifest, stats *runpipe.RunStats, finished time.Time) {
 	j.update(func() {
 		j.state = StateDone
 		j.source = source
 		j.result = res
 		j.manifest = mf
 		j.stats = stats
-		j.finished = time.Now()
+		j.finished = finished
 	})
 }
 
-func (j *Job) finishErr(err error) {
+func (j *Job) finishErr(err error, finished time.Time) {
 	j.update(func() {
 		j.state = StateFailed
 		j.errMsg = err.Error()
-		j.finished = time.Now()
+		j.finished = finished
 	})
+}
+
+// terminalView is the view j will expose once finishOK or finishErr
+// applies the same terminal fields: the server records artifacts from
+// it before the state flip becomes visible.
+func (j *Job) terminalView(state State, source, hash, errMsg string, finished time.Time) View {
+	v := j.View()
+	v.State, v.Source, v.ResultHash, v.Error = state, source, hash, errMsg
+	v.Finished = &finished
+	v.Version++
+	return v
 }
 
 // View snapshots the job for serialization.

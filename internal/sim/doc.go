@@ -12,4 +12,10 @@
 // that process parks (sleeps or awaits an event) or terminates.  Ties
 // between events scheduled for the same timestamp are broken by
 // scheduling order, so a simulation run is a pure function of its inputs.
+//
+// Counters: [Env.Steps] counts executed events and [Env.Switches] process
+// resumptions.  [Proc.TryAdvance] lets the running process move the clock
+// in place when nothing else could run before it would have woken;
+// [Env.Inlined] counts those elided park/resume pairs, which execute no
+// event and no switch.  MaxSteps bounds Steps()+Inlined().
 package sim

@@ -38,7 +38,13 @@ type Env struct {
 	// switches counts process resumptions: one per dispatch that hands
 	// control to a live process.
 	switches uint64
-	stopped  bool
+	// inlined counts accepted TryAdvance calls: park/resume pairs the
+	// running process elided by moving the clock in place.
+	inlined uint64
+	stopped bool
+	// deadline is the active run's last admissible timestamp, or -1 when
+	// the run drains the queue.  TryAdvance honours it.
+	deadline Time
 
 	// partStamp, when non-zero, switches event stamping from the serial
 	// (global sequence) scheme to the partition scheme of the parallel
@@ -46,9 +52,10 @@ type Env struct {
 	// instead of (global seq, 0).  See NewPartitionEnv.
 	partStamp uint64
 
-	// MaxSteps, when non-zero, bounds the number of executed events.  It is
-	// a safety valve against accidental livelock (for example a process
-	// that re-schedules itself at zero delay forever); exceeding it panics.
+	// MaxSteps, when non-zero, bounds the number of executed events plus
+	// inlined advances (Steps()+Inlined()).  It is a safety valve against
+	// accidental livelock (for example a process that re-schedules itself
+	// at zero delay forever); exceeding it panics.
 	MaxSteps uint64
 
 	// onStep observers run after the clock advances to each executed
@@ -100,7 +107,7 @@ const (
 
 // NewEnv returns an empty environment at virtual time zero.
 func NewEnv() *Env {
-	e := &Env{MaxSteps: 1 << 34}
+	e := &Env{MaxSteps: 1 << 34, deadline: -1}
 	e.wakeFn = e.runWake
 	return e
 }
@@ -182,6 +189,11 @@ func (e *Env) Now() Time { return e.now }
 
 // Steps reports how many events have executed so far.
 func (e *Env) Steps() uint64 { return e.steps }
+
+// Inlined reports how many TryAdvance calls moved the clock in place:
+// each one is a park/resume pair (and the events that would have carried
+// it) the running process did not need.
+func (e *Env) Inlined() uint64 { return e.inlined }
 
 // Switches reports how many times the event loop has resumed a process:
 // a process that sleeps N times before returning costs N+1 switches (its
@@ -456,6 +468,7 @@ func (e *Env) RunUntil(deadline Time) {
 // strictly smaller than every ring entry's and it must run first.  The
 // ring otherwise drains completely before the clock may advance.
 func (e *Env) run(deadline Time) {
+	e.deadline = deadline
 	for !e.stopped {
 		var q queued
 		if e.ringPop < len(e.ring) {
@@ -495,7 +508,7 @@ func (e *Env) run(deadline Time) {
 		e.now = q.at
 		e.steps++
 		e.pending--
-		if e.MaxSteps != 0 && e.steps > e.MaxSteps {
+		if e.MaxSteps != 0 && e.steps+e.inlined > e.MaxSteps {
 			panic(fmt.Sprintf("sim: exceeded MaxSteps=%d at t=%v (livelock?)", e.MaxSteps, e.now))
 		}
 		if e.onStep != nil {

@@ -144,6 +144,33 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
+// TryAdvance moves the clock forward by d in place and reports true when
+// parking p for d would have been unobservable: p is the running process,
+// the current instant has no other work (empty ring, no pending
+// AtInstantEnd callback), the environment is not stopped, every queued
+// event lies strictly after now+d, now+d is within the active run's
+// deadline, and the MaxSteps budget is not spent.  An event queued at
+// exactly now+d was scheduled earlier than the timer p would have set, so
+// it must run first: the tie refuses.  Otherwise nothing changes and the
+// caller takes its ordinary park path.  An accepted advance executes no
+// event and no switch; it counts in Inlined.  A negative d panics.
+func (p *Proc) TryAdvance(d Time) bool {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative advance %v", d))
+	}
+	e := p.env
+	t := e.now + d
+	if e.cur != p || e.stopped || e.ringPop < len(e.ring) || len(e.instEnd) > 0 ||
+		(len(e.heap) > 0 && e.heap[0].at <= t) ||
+		(e.deadline >= 0 && t > e.deadline) ||
+		(e.MaxSteps != 0 && e.steps+e.inlined >= e.MaxSteps) {
+		return false
+	}
+	e.now = t
+	e.inlined++
+	return true
+}
+
 // Yield suspends the process until all other events already scheduled for
 // the current instant have run.
 func (p *Proc) Yield() { p.Sleep(0) }
